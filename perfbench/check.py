@@ -91,9 +91,6 @@ class Gate:
             if d.stages != ["bound", "refined"] or d.bound is None:
                 self.fail(f"{name}: stages {d.stages}, bound first required")
                 continue
-            if d.bound_at > d.refined_at:
-                self.fail(f"{name}: bound delivered after the refined answer")
-                continue
             problem = self._ptas_problem(d.refined)
             if problem is None:
                 try:

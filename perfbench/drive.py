@@ -83,24 +83,22 @@ async def _consume(handle, delivery: Delivery) -> None:
 async def play(service, trace: Sequence[Arrival], workload: Workload, kind: str, spans) -> ServePhase:
     """Submit ``trace`` open loop (``kind="open"``) or as one burst.
 
-    Open loop: each request is due, and submitted, at its arrival time.
-    Burst: every request is due when the phase starts; the client hands
-    them in back to back, or ``burst_pace_hz`` a second when the
-    workload sets it, so the bound stage is sampled over seconds rather
-    than one short stretch of submissions.
+    Open loop: each request is due, and submitted, at its arrival time,
+    counted from the first arrival of ``trace``.
+    Burst: every request is due when the phase starts and the client
+    hands them in back to back without yielding to the event loop, so
+    the service's worker starts draining only after the last
+    submission: the bound stage runs with no fill competing for the
+    interpreter.
     """
     from repro.service import Priority
 
     consumers: List[asyncio.Task] = []
     deliveries: List[Delivery] = []
     start = time.perf_counter()
-    pace = workload.burst_pace_hz
-    for i, arrival in enumerate(trace):
-        if kind == "open":
-            due = planned = start + arrival.at_s
-        else:
-            due = start
-            planned = start + (i / pace if pace else 0.0)
+    origin = trace[0].at_s
+    for arrival in trace:
+        due = planned = start + (arrival.at_s - origin if kind == "open" else 0.0)
         delay = planned - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)

@@ -12,7 +12,13 @@ A span's *self time* is its duration minus the time its child spans
 cover.  The current span lives in a ``ContextVar``, so asyncio tasks and
 executor threads each keep their own stack; self times are tallied per
 thread and summed at the end, so the layers' self times add up to the
-total time spent inside top-level spans.
+total time spent inside top-level spans, counted once per thread.
+
+:meth:`Spans.partition` splits the timed wall clock into time inside
+some top-level span (of any thread), time the event loop waited with no
+span open, and the rest.  When the event loop and a worker thread are
+inside spans at once, the self times count that stretch twice; the
+difference is reported as overlap.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ class _Tally:
         self.self_s: Dict[str, float] = dict.fromkeys(LAYERS, 0.0)
         self.calls: Dict[str, int] = dict.fromkeys(LAYERS, 0)
         self.roots: List[Tuple[float, float]] = []
-        self.main = threading.current_thread() is threading.main_thread()
 
 
 class Spans:
@@ -105,18 +110,24 @@ class Spans:
                 total[layer] += n
         return total
 
-    def idle_seconds(self) -> float:
-        """Time the event loop waited while no worker thread was in a span."""
-        busy = _union(
-            interval
-            for tally in self._tallies
-            if not tally.main
-            for interval in tally.roots
-        )
-        idle = 0.0
-        for start, end in self.loop_waits:
-            idle += (end - start) - _covered(busy, start, end)
-        return idle
+    def partition(self, windows: List[Tuple[float, float]]) -> Tuple[float, float]:
+        """``(covered, idle)`` seconds of the timed ``windows``.
+
+        ``covered`` is the time some thread was inside a top-level span;
+        ``idle`` the time the event loop waited for I/O or timers while
+        no span was open.  The two are disjoint, so the rest of the
+        windows' time is in neither.
+        """
+        busy = _union(interval for tally in self._tallies for interval in tally.roots)
+        covered = idle = 0.0
+        for start, end in windows:
+            covered += _covered(busy, start, end)
+        for wait_start, wait_end in self.loop_waits:
+            for start, end in windows:
+                lo, hi = max(start, wait_start), min(end, wait_end)
+                if hi > lo:
+                    idle += (hi - lo) - _covered(busy, lo, hi)
+        return covered, idle
 
 
 class _Span:

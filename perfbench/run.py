@@ -4,11 +4,12 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/run.py --workload identical-fill --seed 1 --seconds 30 --trace 0
 
-Each run builds a ``BatchScheduler(workers=1)`` and a
-``SchedulingService(workers=1)`` on the production path (``auto``
-backend, default caches, quarter search), warms both on instances drawn
-from ``--seed``, then times the workload's corpus through the service and
-then the batch front-end, and measures set-up in fresh interpreters.
+Each run builds a ``BatchScheduler(workers=1)`` and one
+``SchedulingService(workers=1)`` per service phase on the production
+path (``auto`` backend, default caches, quarter search), warms each on
+instances drawn from ``--seed``, then times the workload's corpus in
+rounds, each slice through the service phases and then the batch
+front-end, and measures set-up in fresh interpreters.
 Every answer passes the correctness gate (``check.py``); any violation
 prints ``"correct": false`` and exits 1.  ``README.md`` defines every
 metric.
@@ -26,6 +27,7 @@ import asyncio
 import compileall
 import gc
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -47,26 +49,48 @@ BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 #: fresh interpreters started per run to measure set-up
 SETUP_PROBES = 6
 
+#: consecutive slices of the trace; each round runs every phase on one
+ROUNDS = 24
+
+
+@dataclass
+class Round:
+    """One slice of the trace through every service phase, then the batch."""
+
+    chunk: list
+    phases: list
+    report: object
+
 
 @dataclass
 class Pass:
     """The measured trace through both front-ends, timed end to end."""
 
-    report: object
-    phases: list
-    wall_s: float
+    rounds: List[Round]
+    #: (start, end) of each timed phase
+    windows: list
     rss_start_mb: float
     rss_end_mb: float
     peak_rss_mb: float
-    scheduler: object
-    service: object
+    front: "Front"
     #: service counters and cache tallies when timing started
     before: dict
 
     @property
-    def timed(self):
-        """The phase the bound and generator figures come from: the open loop if any."""
-        return self.phases[0]
+    def wall_s(self) -> float:
+        return sum(end - start for start, end in self.windows)
+
+    @property
+    def reports(self) -> list:
+        return [r.report for r in self.rounds]
+
+    def phases(self, kind: str) -> list:
+        return [phase for r in self.rounds for phase in r.phases if phase.kind == kind]
+
+    @property
+    def timed(self) -> list:
+        """The phases the bound and generator figures come from: the open loop if any."""
+        return self.phases(serve_kinds(self.front.workload)[0])
 
 
 def measure_setup() -> tuple[float, float]:
@@ -82,21 +106,31 @@ def measure_setup() -> tuple[float, float]:
     return time.perf_counter() - start, float(done.stdout.strip().splitlines()[-1])
 
 
-def tallies(scheduler, service) -> dict:
+def tallies(front: "Front") -> dict:
     """Counters and cache tallies that outlive one pass, for deltas."""
 
     def copy(stats) -> dict:
         return {kind: dict(getattr(stats, kind)) for kind in ("hits", "misses", "evictions")}
 
+    counters: Dict[str, float] = {}
+    for service in front.services.values():
+        for name, value in service.tracer.counters.items():
+            counters[name] = counters.get(name, 0) + value
+    pipelines = [service.pipeline for service in front.services.values()]
     return {
-        "counters": dict(service.tracer.counters),
-        "caches": [copy(scheduler.cache.stats), copy(service.pipeline.cache.stats)],
-        "plans": [copy(scheduler.plan_cache.stats), copy(service.pipeline.plan_cache.stats)],
+        "counters": counters,
+        "caches": [copy(owner.cache.stats) for owner in [front.scheduler, *pipelines]],
+        "plans": [copy(owner.plan_cache.stats) for owner in [front.scheduler, *pipelines]],
     }
 
 
 class Front:
-    """A batch scheduler and a started service sharing one event loop."""
+    """A batch scheduler and one started service per service phase.
+
+    Each phase gets its own service, so no phase is answered from caches
+    an earlier phase filled with the same requests; every front-end is
+    warmed only by the warm-up requests.
+    """
 
     def __init__(self, workload: Workload, loop: asyncio.AbstractEventLoop) -> None:
         from repro.service import BatchScheduler, SchedulingService
@@ -104,75 +138,88 @@ class Front:
         self.workload = workload
         self.loop = loop
         self.scheduler = BatchScheduler(workers=1, eps=workload.eps)
-        self.service = SchedulingService(workers=1, eps=workload.eps)
-        loop.run_until_complete(self.service.start())
+        self.services = {
+            kind: SchedulingService(workers=1, eps=workload.eps)
+            for kind in serve_kinds(workload)
+        }
+        for service in self.services.values():
+            loop.run_until_complete(service.start())
 
-    def play(self, trace, spans, collect: bool = False) -> tuple:
-        """Each service phase, then the batch; returns their results and wall time.
+    def play(self, trace, spans, rounds: int = 1, collect: bool = False) -> tuple:
+        """Play ``trace`` in ``rounds`` slices; returns the rounds and windows.
 
-        With ``collect`` each phase starts from a full garbage collection
-        (not timed), so where the collector's full passes fall inside a
-        phase does not depend on what ran before it.
+        Each round hands its slice to every service phase, then to the
+        batch, so every metric samples the whole run rather than one
+        stretch of it.  With ``collect`` each round starts from a full
+        garbage collection (not timed), so where the collector's full
+        passes fall inside a round does not depend on what ran before it.
         """
-        phases = []
-        for kind in serve_kinds(self.workload):
+        played, windows = [], []
+        size = math.ceil(len(trace) / rounds)
+        for chunk in (trace[i : i + size] for i in range(0, len(trace), size)):
             if collect:
                 gc.collect()
-            phases.append(
-                self.loop.run_until_complete(
-                    play(self.service, trace, self.workload, kind, spans)
+            phases = []
+            for kind, service in self.services.items():
+                start = time.perf_counter()
+                phases.append(
+                    self.loop.run_until_complete(play(service, chunk, self.workload, kind, spans))
                 )
-            )
-        if collect:
-            gc.collect()
-        report = run_batch(self.scheduler, trace, self.workload.eps)
-        return report, phases, report.wall_s + sum(p.wall_s for p in phases)
+                windows.append((start, time.perf_counter()))
+            start = time.perf_counter()
+            report = run_batch(self.scheduler, chunk, self.workload.eps)
+            windows.append((start, time.perf_counter()))
+            played.append(Round(chunk, phases, report))
+        return played, windows
 
     def measure(self, trace, spans) -> Pass:
-        before = tallies(self.scheduler, self.service)
+        before = tallies(self)
         rss_start, _ = rss_mb()
-        report, phases, wall = self.play(trace, spans, collect=True)
+        rounds, windows = self.play(trace, spans, rounds=ROUNDS, collect=True)
         rss_end, peak = rss_mb()
-        return Pass(
-            report, phases, wall, rss_start, rss_end, peak, self.scheduler, self.service, before
-        )
+        return Pass(rounds, windows, rss_start, rss_end, peak, self, before)
 
     def close(self) -> None:
-        self.loop.run_until_complete(self.service.shutdown())
+        for service in self.services.values():
+            self.loop.run_until_complete(service.shutdown())
         self.scheduler.close()
 
 
-def check_pass(gate, run: Pass, trace) -> Dict[int, int]:
+def check_pass(gate, run: Pass) -> Dict[int, int]:
     """Gate one pass; returns the makespan of each corpus instance."""
     makespans: Dict[int, int] = {}
-    gate.batch(run.report, trace, makespans)
-    for phase in run.phases:
-        gate.serve(phase, len(trace), makespans)
+    for r in run.rounds:
+        gate.batch(r.report, r.chunk, makespans)
+        for phase in r.phases:
+            gate.serve(phase, len(r.chunk), makespans)
     return makespans
 
 
 def end_to_end(run: Pass, setup_s: float) -> Dict[str, tuple]:
-    solve_ms = [item.wall_s * 1e3 for item in run.report.results]
-    burst = run.phases[-1]
-    refined_ms = burst.refined_ms()
+    solve_ms = [item.wall_s * 1e3 for report in run.reports for item in report.results]
+    bursts = run.phases("burst")
+    refined_ms = [ms for phase in bursts for ms in phase.refined_ms()]
+    bound_ms = [ms for phase in run.timed for ms in phase.bound_ms()]
     return {
         "setup_s": (setup_s, "s"),
-        "solve_rate": (len(solve_ms) / run.report.wall_s, "req/s"),
+        "solve_rate": (len(solve_ms) / sum(report.wall_s for report in run.reports), "req/s"),
         "solve_p50_ms": (percentile(solve_ms, 50), "ms"),
         "solve_p90_ms": (percentile(solve_ms, 90), "ms"),
         "refined_p50_ms": (percentile(refined_ms, 50), "ms"),
-        "refined_p99_ms": (percentile(refined_ms, 99), "ms"),
-        "bound_p50_ms": (percentile(run.timed.bound_ms(), 50), "ms"),
-        "capacity_rps": (len(burst.deliveries) / burst.wall_s, "req/s"),
+        "refined_p90_ms": (percentile(refined_ms, 90), "ms"),
+        "bound_p50_ms": (percentile(bound_ms, 50), "ms"),
+        "capacity_rps": (len(refined_ms) / sum(phase.wall_s for phase in bursts), "req/s"),
         "peak_rss_mb": (run.peak_rss_mb, "MB"),
         "rss_growth_mb": (run.rss_end_mb - run.rss_start_mb, "MB"),
     }
 
 
 def per_layer(run: Pass, untraced_wall: float, spans, probes, import_s: float, gate) -> Dict[str, tuple]:
-    service = run.service
-    after = tallies(run.scheduler, run.service)
-    counters: Dict[str, float] = dict(run.report.tracer.counters)
+    after = tallies(run.front)
+    counters: Dict[str, float] = {}
+    for report in run.reports:
+        for name, value in report.tracer.counters.items():
+            counters[name] = counters.get(name, 0) + value
     for name, value in after["counters"].items():
         counters[name] = counters.get(name, 0) + value - run.before["counters"].get(name, 0)
 
@@ -191,14 +238,17 @@ def per_layer(run: Pass, untraced_wall: float, spans, probes, import_s: float, g
         hits = tally(group, "hits", kind)
         total = hits + tally(group, "misses", kind)
         return hits / total if total else 0.0
+
     self_s = spans.self_seconds()
     calls = spans.calls()
-    idle = spans.idle_seconds()
+    covered, idle = spans.partition(run.windows)
 
-    deliveries = [d for phase in run.phases for d in phase.deliveries]
+    deliveries = [d for r in run.rounds for phase in r.phases for d in phase.deliveries]
+    timed = [d for phase in run.timed for d in phase.deliveries]
+    refined_ms = [ms for phase in run.timed for ms in phase.refined_ms()]
     waits, lags = [], []
-    for d in run.timed.deliveries:
-        ran = probes.runs.get(f"{run.timed.kind}{d.arrival.index}")
+    for d in timed:
+        ran = probes.runs.get(f"{run.timed[0].kind}{d.arrival.index}")
         if ran is not None and not d.coalesced:
             waits.append((ran[0] - d.bound_at) * 1e3)
             lags.append((d.refined_at - ran[1]) * 1e3)
@@ -213,9 +263,9 @@ def per_layer(run: Pass, untraced_wall: float, spans, probes, import_s: float, g
         "daemon.coalesced_share": (sum(d.coalesced for d in deliveries) / len(deliveries), "share"),
         "daemon.delivery_lag_ms_p50": (percentile(lags, 50), "ms"),
         "daemon.refined_worse_share": (gate.refined_worse / max(1, gate.refined_total), "share"),
-        "loadgen.lag_ms_p99": (percentile(run.timed.lag_ms(), 99), "ms"),
-        "loadgen.refined_p50_ms": (percentile(run.timed.refined_ms(), 50), "ms"),
-        "loadgen.refined_p99_ms": (percentile(run.timed.refined_ms(), 99), "ms"),
+        "loadgen.lag_ms_p99": (percentile([ms for p in run.timed for ms in p.lag_ms()], 99), "ms"),
+        "loadgen.refined_p50_ms": (percentile(refined_ms, 50), "ms"),
+        "loadgen.refined_p99_ms": (percentile(refined_ms, 99), "ms"),
         "baselines.calls": (calls["baselines"], "count"),
         "pipeline.runs": (calls["pipeline"], "count"),
         "pipeline.degraded": (counter("resilience.degraded"), "count"),
@@ -248,7 +298,8 @@ def per_layer(run: Pass, untraced_wall: float, spans, probes, import_s: float, g
         "kernels.warm_cells_share": (counter("warmstart.cells_reused") / cells if cells else 0.0, "share"),
         "models.assemble.calls": (calls["models"], "count"),
         "observability.probe_events_retained": (
-            len(run.report.tracer.probes) + len(service.tracer.probes),
+            sum(len(report.tracer.probes) for report in run.reports)
+            + sum(len(service.tracer.probes) for service in run.front.services.values()),
             "count",
         ),
         "observability.trace_overhead_share": ((run.wall_s - untraced_wall) / untraced_wall, "share"),
@@ -256,7 +307,8 @@ def per_layer(run: Pass, untraced_wall: float, spans, probes, import_s: float, g
         "parallel.fabric.fills": (counter("fabric.fill.calls"), "count"),
         "failed_share": (gate.failed / max(1, gate.attempted), "share"),
         "idle.s": (idle, "s"),
-        "unattributed.s": (run.wall_s - sum(self_s.values()) - idle, "s"),
+        "overlap.s": (sum(self_s.values()) - covered, "s"),
+        "unattributed.s": (run.wall_s - covered - idle, "s"),
     }
     names = {
         "baselines": "baselines.s",
@@ -285,7 +337,7 @@ def run(workload: Workload, seed: int, seconds: int, traced: bool) -> dict:
     setups += [measure_setup() for _ in range(SETUP_PROBES - len(setups))]
     setup_s = statistics.median(wall for wall, _ in setups)
     import_s = statistics.median(imported for _, imported in setups)
-    makespans = check_pass(gate, untraced, trace)
+    makespans = check_pass(gate, untraced)
     result: Dict[str, tuple]
     if traced:
         spans, probes = Spans(), Probes()
@@ -295,7 +347,7 @@ def run(workload: Workload, seed: int, seconds: int, traced: bool) -> dict:
         selector.spans = spans
         measured = fronts[1].measure(trace, spans)
         selector.spans = None
-        if check_pass(gate, measured, trace) != makespans:
+        if check_pass(gate, measured) != makespans:
             gate.violation("traced and untraced runs gave different makespans")
         result = per_layer(measured, untraced.wall_s, spans, probes, import_s, gate)
     else:

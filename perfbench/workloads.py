@@ -3,9 +3,10 @@
 Inputs are a pure function of ``(workload, seed, seconds)``: the same
 arguments always produce the same instances, arrival times, tenants and
 priorities.  The instances themselves come from each workload's fixed
-corpus; the seed orders and repeats them and draws the arrivals.  The program under test only ever sees the generated
-instances; nothing here calls the program's own generators, so a change
-to the program cannot silently change the benchmark's inputs.
+corpus; the seed orders and repeats them and draws the arrivals.  The
+program under test only ever sees the generated instances; nothing here
+calls the program's own generators, so a change to the program cannot
+silently change the benchmark's inputs.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class Workload:
     corpus_seed: int
     open_loop_hz: Optional[float] = None
     duplicate_fraction: float = 0.0
-    #: requests per second a burst is handed in at (``None``: back to back)
-    burst_pace_hz: Optional[float] = None
     type_speeds: Tuple[int, ...] = ()
     machines_per_type: Tuple[int, ...] = ()
     #: warm-up requests, drawn from ``--seed``, run before timing starts
@@ -60,7 +59,6 @@ WORKLOADS = {
             eps=0.15,
             requests_per_s=3.4,
             corpus_seed=24,
-            burst_pace_hz=50.0,
         ),
         Workload(
             name="few-types-compose",
@@ -69,7 +67,6 @@ WORKLOADS = {
             eps=0.25,
             requests_per_s=8.0,
             corpus_seed=18,
-            burst_pace_hz=50.0,
             type_speeds=(1, 2),
             machines_per_type=(2, 2),
             warmup_requests=20,
@@ -79,7 +76,7 @@ WORKLOADS = {
             jobs=30,
             machines=5,
             eps=0.3,
-            requests_per_s=60.0,
+            requests_per_s=45.0,
             corpus_seed=30,
             open_loop_hz=100.0,
             duplicate_fraction=0.4,
@@ -100,8 +97,6 @@ class Arrival:
     instance: object
     tenant: str
     priority: int
-    #: whether an earlier arrival asked for the same instance
-    repeat: bool = False
 
 
 def _instance(workload: Workload, rng: np.random.Generator):
@@ -131,12 +126,17 @@ def make_trace(workload: Workload, seconds: int, seed: int, warmup: bool = False
     gaps at ``open_loop_hz``, tenants and priorities.  The warm-up
     instances come from ``seed`` itself, so no cache entry the warm-up
     fills can serve the measured requests.
+
+    The streams' entropy words never coincide: the corpus is
+    ``[corpus_seed]``, which numpy pads to ``[corpus_seed, 0]``, and
+    every stream drawn from ``seed`` ends in a nonzero tag, so a seed
+    equal to a corpus seed does not replay the corpus in the warm-up.
     """
     rng = np.random.default_rng([int(seed), 1 if warmup else 2])
     total = workload.warmup_requests if warmup else max(1, math.ceil(workload.requests_per_s * seconds))
     repeats = round(workload.duplicate_fraction * (total - 1))
     fresh = total - repeats
-    source = np.random.default_rng([int(seed), 0] if warmup else [workload.corpus_seed])
+    source = np.random.default_rng([int(seed), 3] if warmup else [workload.corpus_seed])
     corpus = [_instance(workload, source) for _ in range(fresh)]
     order = rng.permutation(fresh)
     repeat_at = set((1 + rng.choice(total - 1, size=repeats, replace=False)).tolist())
@@ -160,7 +160,6 @@ def make_trace(workload: Workload, seconds: int, seed: int, warmup: bool = False
                 instance=corpus[corpus_id],
                 tenant=TENANTS[i % len(TENANTS)],
                 priority=int(rng.choice(3, p=weights)),
-                repeat=i in repeat_at,
             )
         )
     return arrivals
