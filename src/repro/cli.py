@@ -13,7 +13,8 @@ Six commands:
   printing latency percentiles, the coalescing hit rate, and the live
   introspection snapshot;
 * ``engines`` — fill one DP probe on every simulated engine and print
-  the simulated-time comparison (a miniature Fig. 3 row);
+  the simulated-time comparison (a miniature Fig. 3 row), then whether
+  the compiled relaxation loop is active (or why not);
 * ``experiment`` — regenerate a paper exhibit at reduced scale and
   print its report (the benchmarks run the full versions);
 * ``health`` — fill-fabric hygiene: sweep orphaned ``/dev/shm``
@@ -772,6 +773,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_engines(args: argparse.Namespace) -> int:
     from repro.backends import iter_backends, resolve
+    from repro.core import native
     from repro.core.bounds import makespan_bounds
     from repro.core.probe_cache import PlanCache
 
@@ -819,6 +821,11 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         f"{plans.stats.misses.get('plan', 0)} misses across {len(names)} engines "
         f"(one shared probe plan)"
     )
+    active, detail = native.default_loop().status()
+    if active:
+        print(f"relaxation loop: compiled, active ({detail})")
+    else:
+        print(f"relaxation loop: NumPy fallback, compiled loop unavailable: {detail}")
     return 0
 
 

@@ -20,11 +20,15 @@ following the vectorization idiom of the HPC guides.
 
 The result is bit-identical to :func:`repro.core.dp_reference.dp_reference`
 (tested), at orders of magnitude higher throughput.
+
+The rounds run in the compiled loop of :mod:`repro.core.native` when it
+builds (:func:`relax_table`); the NumPy loop here (:func:`relax_numpy`)
+is its fallback and the reference it is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,18 +157,150 @@ def note_warm_convergence(table: np.ndarray, warm_init: np.ndarray) -> None:
     )
 
 
+def relaxation_passes(
+    configs: np.ndarray,
+    shape: tuple[int, ...],
+    *,
+    sparsify: bool,
+    plan=None,
+    counts: Sequence[int] = (),
+    class_sizes: Sequence[int] = (),
+    target: int = 0,
+) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple]]:
+    """The configurations one relaxation fill passes over, and their order.
+
+    Returns ``(pass_configs, order, selectors)``: the full set (dense
+    mode) or its dominance-pruned maximal subset (``sparsify``), the
+    largest-first processing order over it, and a zero-argument
+    callable producing the NumPy loop's slice selectors.  A ``plan``
+    (:class:`~repro.dptable.plan.ProbePlan` of this probe) supplies all
+    three from its cached layers; only the NumPy fallback ever builds
+    the selectors.  Without a plan they are derived here, the maximal
+    subset from the probe's own constraints (``counts``,
+    ``class_sizes``, ``target``).
+    """
+    if plan is not None:
+        if sparsify:
+            return (
+                plan.sparse_configs,
+                plan.sparse_relaxation_order,
+                lambda: plan.sparse_shift_slices,
+            )
+        return configs, plan.relaxation_order, lambda: plan.shift_slices
+    if sparsify:
+        from repro.core.sparsify import sparsify_configurations
+
+        configs, _ = sparsify_configurations(
+            configs, counts, class_sizes, target
+        )
+    # Larger configurations first: they reach far cells in fewer
+    # rounds, accelerating convergence of in-place propagation.
+    order = np.argsort(-configs.sum(axis=1), kind="stable")
+    return configs, order, lambda: shift_selectors(shape, configs, order)
+
+
+def relax_numpy(
+    table: np.ndarray,
+    shifts: tuple[tuple[tuple, tuple], ...],
+    *,
+    sweeps: bool,
+    max_rounds: int,
+    accept_limit: int | None = None,
+) -> tuple[int, bool] | None:
+    """The relaxation rounds in NumPy: the reference for the compiled loop.
+
+    Per round, one box pass per selector pair (``shifts``, in processing
+    order), then — with ``sweeps`` — one downward-closure sweep per
+    axis.  ``accept_limit`` (the decision kernel's machine budget)
+    stops the fill once the corner holds a value ``v <= min(limit,
+    rounds)``; otherwise the fill stops at the first round that changes
+    nothing.  Returns ``(rounds, early_accept)``, or ``None`` when
+    ``max_rounds`` rounds ran without converging.
+    """
+    # One scratch buffer (plus one bool mask) reused by every config
+    # pass: each pass needs a copy of the shifted source — src may
+    # alias dst — but a fresh `src + 1` allocation per pass makes the
+    # allocator the bottleneck on large tables.  Every pass's views
+    # are at most table-sized, so slices of these two flats suffice.
+    scratch = np.empty(table.size, dtype=table.dtype)
+    mask = np.empty(table.size, dtype=bool)
+    bound = bind_passes(table, shifts, scratch, mask)
+    if sweeps:
+        views = closure_views(table)
+        before = np.empty_like(table)
+    for rounds in range(1, max_rounds + 1):
+        changed = False
+        for dst, src, cand, improved in bound:
+            np.add(src, 1, out=cand)  # scratch copy; src may alias dst
+            np.less(cand, dst, out=improved)
+            if improved.any():
+                np.copyto(dst, cand, where=improved)
+                changed = True
+        if sweeps:
+            np.copyto(before, table)
+            run_closure_sweeps(views)
+            changed = changed or not np.array_equal(table, before)
+        if accept_limit is not None:
+            corner = int(table.flat[-1])
+            if corner <= accept_limit and corner <= rounds:
+                return rounds, True
+        if not changed:
+            return rounds, False
+    return None
+
+
+def relax_table(
+    table: np.ndarray,
+    configs: np.ndarray,
+    order: np.ndarray,
+    selectors: Callable[[], tuple],
+    *,
+    sweeps: bool,
+    max_rounds: int,
+    accept_limit: int | None = None,
+) -> tuple[int, bool] | None:
+    """Run a relaxation fill's rounds on ``table`` in place.
+
+    The compiled loop (:mod:`repro.core.native`) runs the fill when it
+    is available (``kernel.native.fills``); otherwise :func:`relax_numpy`
+    does, with the selectors ``selectors()`` returns
+    (``kernel.native.unavailable``).  Both give the same table and the
+    same ``(rounds, early_accept)`` — see :func:`relax_numpy` for the
+    arguments and the return value.
+    """
+    # Imported on first fill: the loader brings in ctypes, subprocess and
+    # tempfile, which importing the package should not pay for.
+    from repro.core import native
+
+    loop = native.default_loop()
+    if loop.available:
+        obs.count("kernel.native.fills")
+        return loop.relax(
+            table,
+            configs[order],
+            sweeps=sweeps,
+            max_rounds=max_rounds,
+            accept_limit=accept_limit,
+        )
+    obs.count("kernel.native.unavailable")
+    return relax_numpy(
+        table,
+        selectors(),
+        sweeps=sweeps,
+        max_rounds=max_rounds,
+        accept_limit=accept_limit,
+    )
+
+
 def dp_vectorized(
     counts: Sequence[int],
     class_sizes: Sequence[int],
     target: int,
     configs: np.ndarray | None = None,
     max_rounds: int | None = None,
-    order: np.ndarray | None = None,
-    shifts: tuple[tuple[tuple, tuple], ...] | None = None,
     model_token: tuple | None = None,
     sparsify: bool = False,
-    sparse_configs: np.ndarray | None = None,
-    sparse_shifts: tuple | None = None,
+    plan=None,
     warm_table: np.ndarray | None = None,
 ) -> DPResult:
     """Fill the DP-table by repeated vectorized relaxation.
@@ -175,12 +311,10 @@ def dp_vectorized(
     long jobs plus one, the worst-case diameter); reaching the cap
     without convergence indicates a bug and raises :class:`DPError`.
 
-    ``order`` is an optional precomputed config processing order (the
-    :attr:`~repro.dptable.plan.ProbePlan.relaxation_order` of a cached
-    plan); when omitted the largest-first order is derived locally.
-    ``shifts`` are the matching precomputed slice selectors (a plan's
-    :attr:`~repro.dptable.plan.ProbePlan.shift_slices`); they must be
-    aligned with ``order`` and are rebuilt locally when omitted.
+    ``plan`` is this probe's cached
+    :class:`~repro.dptable.plan.ProbePlan`; it supplies the config
+    processing order (and, for the NumPy loop, the slice selectors)
+    that are otherwise derived locally (:func:`relaxation_passes`).
 
     ``sparsify=True`` relaxes with the dominance-pruned maximal subset
     only (:mod:`repro.core.sparsify`).  The cover recurrence
@@ -192,11 +326,7 @@ def dp_vectorized(
     monotonicity (:func:`closure_views`).  Same unique fixpoint, so
     the returned table is bit-identical to the dense fill's and
     ``configs`` (the full set, which the backtrack walks) is returned
-    unchanged.  ``sparse_configs`` / ``sparse_shifts`` are the
-    plan-cached layers
-    (:attr:`~repro.dptable.plan.ProbePlan.sparse_configs` /
-    :attr:`~repro.dptable.plan.ProbePlan.sparse_shift_slices`);
-    either being supplied implies ``sparsify``.
+    unchanged.
 
     ``warm_table`` seeds the fill from a cached table of the same
     family at a smaller scaled budget (see :func:`seed_warm_table`);
@@ -206,7 +336,8 @@ def dp_vectorized(
     The fill runs in the narrowest dtype that holds ``sum(counts)``
     (usually int16 — a 4x cut in memory traffic per relaxation pass)
     and is widened to the canonical int64 table at the end, so the
-    result is bit-identical to the historical int64 fill.
+    result is bit-identical to the historical int64 fill.  The rounds
+    run in the compiled loop when it is available (:func:`relax_table`).
     """
     counts = tuple(int(c) for c in counts)
     if len(counts) != len(class_sizes):
@@ -219,8 +350,6 @@ def dp_vectorized(
         )
     if configs is None:
         configs = enumerate_configurations(class_sizes, counts, target)
-    if sparse_configs is not None or sparse_shifts is not None:
-        sparsify = True
 
     dtype = pick_table_dtype(sum(counts))
     unreach = unreachable_for(dtype)
@@ -240,93 +369,31 @@ def dp_vectorized(
     if max_rounds is None:
         max_rounds = sum(counts) + 1
 
-    if sparsify:
-        if sparse_shifts is None:
-            if sparse_configs is None:
-                from repro.core.sparsify import sparsify_configurations
-
-                sparse_configs, _ = sparsify_configurations(
-                    configs, counts, class_sizes, target
-                )
-            sparse_order = np.argsort(
-                -sparse_configs.sum(axis=1), kind="stable"
-            )
-            sparse_shifts = shift_selectors(
-                shape, sparse_configs, sparse_order
-            )
-        scratch = np.empty(table.size, dtype=dtype)
-        mask = np.empty(table.size, dtype=bool)
-        bound = bind_passes(table, sparse_shifts, scratch, mask)
-        views = closure_views(table)
-        before = np.empty(shape, dtype=dtype)
-        rounds = 0
-        passes = 0
-        for _ in range(max_rounds):
-            rounds += 1
-            changed = False
-            for dst, src, cand, improved in bound:
-                np.add(src, 1, out=cand)
-                np.less(cand, dst, out=improved)
-                if improved.any():
-                    np.copyto(dst, cand, where=improved)
-                    changed = True
-            np.copyto(before, table)
-            run_closure_sweeps(views)
-            passes += len(bound)
-            if not changed and np.array_equal(table, before):
-                obs.count("dp.vectorized.calls")
-                obs.count("dp.vectorized.rounds", rounds)
-                obs.count("dp.vectorized.config_passes", passes)
-                if warm_init is not None:
-                    note_warm_convergence(table, warm_init)
-                return DPResult(table=widen_table(table), configs=configs)
-        raise DPError(
-            f"sparse relaxation did not converge within {max_rounds} rounds "
-            f"(shape={shape}, |C_max|={len(sparse_shifts)})"
-        )
-
-    if shifts is None:
-        if order is None:
-            # Larger configurations first: they reach far cells in fewer
-            # rounds, accelerating convergence of in-place propagation.
-            order = np.argsort(-configs.sum(axis=1), kind="stable")
-        shifts = shift_selectors(shape, configs, order)
-
-    # One scratch buffer (plus one bool mask) reused by every config
-    # pass: each pass needs a copy of the shifted source — src may
-    # alias dst — but a fresh `src + 1` allocation per pass makes the
-    # allocator the bottleneck on large tables.  Every pass's views
-    # are at most table-sized, so slices of these two flats suffice.
-    # All per-pass views are bound once, before the loop: the rounds
-    # then execute pure ufunc calls (the np.add below copies src into
-    # the scratch window first because src may alias dst).
-    scratch = np.empty(table.size, dtype=dtype)
-    mask = np.empty(table.size, dtype=bool)
-    bound = bind_passes(table, shifts, scratch, mask)
-
-    rounds = 0
-    passes = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        changed = False
-        for dst, src, cand, improved in bound:
-            np.add(src, 1, out=cand)
-            np.less(cand, dst, out=improved)
-            if improved.any():
-                np.copyto(dst, cand, where=improved)
-                changed = True
-        passes += len(bound)
-        if not changed:
-            obs.count("dp.vectorized.calls")
-            obs.count("dp.vectorized.rounds", rounds)
-            obs.count("dp.vectorized.config_passes", passes)
-            if warm_init is not None:
-                note_warm_convergence(table, warm_init)
-            return DPResult(table=widen_table(table), configs=configs)
-    raise DPError(
-        f"relaxation did not converge within {max_rounds} rounds "
-        f"(shape={shape}, |C|={configs.shape[0]})"
+    passes, order, selectors = relaxation_passes(
+        configs,
+        shape,
+        sparsify=sparsify,
+        plan=plan,
+        counts=counts,
+        class_sizes=class_sizes,
+        target=target,
     )
+    outcome = relax_table(
+        table, passes, order, selectors, sweeps=sparsify, max_rounds=max_rounds
+    )
+    if outcome is None:
+        mode = "sparse relaxation" if sparsify else "relaxation"
+        raise DPError(
+            f"{mode} did not converge within {max_rounds} rounds "
+            f"(shape={shape}, |C|={passes.shape[0]})"
+        )
+    rounds, _ = outcome
+    obs.count("dp.vectorized.calls")
+    obs.count("dp.vectorized.rounds", rounds)
+    obs.count("dp.vectorized.config_passes", rounds * passes.shape[0])
+    if warm_init is not None:
+        note_warm_convergence(table, warm_init)
+    return DPResult(table=widen_table(table), configs=configs)
 
 
 def dp_vectorized_for(rounded: RoundedInstance, configs: np.ndarray | None = None) -> DPResult:

@@ -331,14 +331,6 @@ class AutoKernel:
                 plan=plan,
                 sparsify=effective,
             )
-        sparse = sparse_sel = None
-        order = shifts = None
-        if effective:
-            sparse = plan.sparse_configs
-            sparse_sel = plan.sparse_shift_slices
-        else:
-            order = plan.relaxation_order
-            shifts = plan.shift_slices
         if choice.kernel == "decision":
             return dp_decision(
                 counts,
@@ -346,11 +338,8 @@ class AutoKernel:
                 target,
                 machines=self.machines,
                 configs=configs,
-                order=order,
-                shifts=shifts,
                 sparsify=effective,
-                sparse_configs=sparse,
-                sparse_shifts=sparse_sel,
+                plan=plan,
                 warm_table=warm_table,
             )
         return dp_vectorized(
@@ -358,11 +347,8 @@ class AutoKernel:
             class_sizes,
             target,
             configs=configs,
-            order=order,
-            shifts=shifts,
             sparsify=effective,
-            sparse_configs=sparse,
-            sparse_shifts=sparse_sel,
+            plan=plan,
             warm_table=warm_table,
         )
 

@@ -75,13 +75,11 @@ from repro.core.dp_common import (
 )
 from repro.core.dp_frontier import dp_frontier
 from repro.core.dp_vectorized import (
-    bind_passes,
-    closure_views,
     dp_vectorized,
     note_warm_convergence,
-    run_closure_sweeps,
+    relax_table,
+    relaxation_passes,
     seed_warm_table,
-    shift_selectors,
 )
 from repro.errors import BackendError, DPError
 from repro.observability import context as obs
@@ -93,12 +91,9 @@ def dp_decision(
     target: int,
     machines: int,
     configs: Optional[np.ndarray] = None,
-    order: Optional[np.ndarray] = None,
     max_rounds: Optional[int] = None,
-    shifts: Optional[tuple] = None,
     sparsify: bool = False,
-    sparse_configs: Optional[np.ndarray] = None,
-    sparse_shifts: Optional[tuple] = None,
+    plan=None,
     warm_table: Optional[np.ndarray] = None,
 ) -> DPResult:
     """Clamped relaxation fill deciding ``OPT(N) <= machines``.
@@ -111,10 +106,10 @@ def dp_decision(
     backtrack to the same schedule as an exact fill (see the module
     docstring for why).
 
-    ``order`` is an optional precomputed config processing order (a
-    plan's :attr:`~repro.dptable.plan.ProbePlan.relaxation_order`);
-    ``shifts`` the matching precomputed slice selectors (a plan's
-    :attr:`~repro.dptable.plan.ProbePlan.shift_slices`).
+    ``plan`` is this probe's cached
+    :class:`~repro.dptable.plan.ProbePlan`, the source of the config
+    processing order (see
+    :func:`~repro.core.dp_vectorized.relaxation_passes`).
 
     ``sparsify=True`` relaxes with the dominance-pruned maximal subset
     (:mod:`repro.core.sparsify`), realised as box passes over the
@@ -125,8 +120,6 @@ def dp_decision(
     cover, and round ``r`` still finalises every cell with
     ``OPT <= r`` because the sweeps run after the round's box passes),
     and the backtrack still walks the returned *full* ``configs``.
-    ``sparse_configs`` / ``sparse_shifts`` are the plan-cached layers;
-    either implies ``sparsify``.
 
     ``warm_table`` seeds the fill from a cached same-clamp table of a
     smaller scaled budget (upper bounds on this fill's fixpoint, see
@@ -146,8 +139,6 @@ def dp_decision(
         return empty_dp_result()
     if configs is None:
         configs = enumerate_configurations(class_sizes, counts, target)
-    if sparse_configs is not None or sparse_shifts is not None:
-        sparsify = True
 
     clamp = machines + 1
     dtype = pick_table_dtype(clamp)
@@ -156,9 +147,7 @@ def dp_decision(
     # beyond the budget saturate there and never update, which is the
     # whole speedup.
     table = np.full(shape, clamp, dtype=dtype)
-    origin = (0,) * len(counts)
-    table[origin] = 0
-    corner = tuple(s - 1 for s in shape)
+    table[(0,) * len(counts)] = 0
 
     if configs.shape[0] == 0:
         obs.count("dp.decision.calls")
@@ -188,76 +177,45 @@ def dp_decision(
         # headroom for the no-change detection round.
         max_rounds = min(sum(counts), clamp) + 2
 
-    if sparsify and sparse_shifts is None:
-        if sparse_configs is None:
-            from repro.core.sparsify import sparsify_configurations
-
-            sparse_configs, _ = sparsify_configurations(
-                configs, counts, class_sizes, target
-            )
-        sparse_order = np.argsort(-sparse_configs.sum(axis=1), kind="stable")
-        sparse_shifts = shift_selectors(shape, sparse_configs, sparse_order)
-
-    if sparsify:
-        scratch = np.empty(table.size, dtype=dtype)
-        mask = np.empty(table.size, dtype=bool)
-        bound = bind_passes(table, sparse_shifts, scratch, mask)
-        views = closure_views(table)
-        before = np.empty(shape, dtype=dtype)
-        passes_per_round = len(bound)
-    else:
-        if shifts is None:
-            if order is None:
-                order = np.argsort(-configs.sum(axis=1), kind="stable")
-            shifts = shift_selectors(shape, configs, order)
-        scratch = np.empty(table.size, dtype=dtype)
-        mask = np.empty(table.size, dtype=bool)
-        bound = bind_passes(table, shifts, scratch, mask)
-        passes_per_round = len(bound)
-
-    rounds = 0
-    passes = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        changed = False
-        for dst, src, cand_w, improved in bound:
-            np.add(src, 1, out=cand_w)  # scratch copy; src may alias dst
-            np.less(cand_w, dst, out=improved)
-            if improved.any():
-                np.copyto(dst, cand_w, where=improved)
-                changed = True
-        if sparsify:
-            np.copyto(before, table)
-            run_closure_sweeps(views)
-            changed = changed or not np.array_equal(table, before)
-        passes += passes_per_round
-        corner_value = int(table[corner])
-        if (
-            warm_init is None
-            and corner_value <= machines
-            and corner_value <= rounds
-        ):
-            # Invariant (2): after `rounds` full rounds every stored
-            # value <= rounds is exact, so the corner is final and the
-            # whole backtrack chain below it is too — stop early.
-            # (Warm fills skip this: seeded values are upper bounds,
-            # not chain lengths, so they run to the no-change fixpoint.)
-            obs.count("dp.decision.early_accept")
-            break
-        if not changed:
-            break
-    else:
+    passes, order, selectors = relaxation_passes(
+        configs,
+        shape,
+        sparsify=sparsify,
+        plan=plan,
+        counts=counts,
+        class_sizes=class_sizes,
+        target=target,
+    )
+    # Invariant (2): after `rounds` full rounds every stored value
+    # <= rounds is exact, so once the corner holds such a value within
+    # the budget it is final, and so is the whole backtrack chain below
+    # it — the fill stops early.  Warm fills skip this: seeded values
+    # are upper bounds, not chain lengths, so they run to the no-change
+    # fixpoint.
+    outcome = relax_table(
+        table,
+        passes,
+        order,
+        selectors,
+        sweeps=sparsify,
+        max_rounds=max_rounds,
+        accept_limit=machines if warm_init is None else None,
+    )
+    if outcome is None:
         raise DPError(
             f"clamped relaxation did not converge within {max_rounds} rounds "
             f"(shape={shape}, |C|={configs.shape[0]}, clamp={clamp})"
         )
+    rounds, early = outcome
+    if early:
+        obs.count("dp.decision.early_accept")
 
     if warm_init is not None:
         note_warm_convergence(table, warm_init)
 
     obs.count("dp.decision.calls")
     obs.count("dp.decision.rounds", rounds)
-    obs.count("dp.decision.config_passes", passes)
+    obs.count("dp.decision.config_passes", rounds * passes.shape[0])
     result = DPResult(table=widen_table(table), configs=configs, clamp=clamp)
     if result.decided_infeasible:
         obs.count("dp.decision.rejects")
@@ -356,25 +314,14 @@ class DecisionKernel:
         plan = self._plan(
             counts, class_sizes, target, configs, model_token=model_token
         )
-        order = shifts = sparse = sparse_sel = None
-        if plan is not None:
-            if effective:
-                sparse = plan.sparse_configs
-                sparse_sel = plan.sparse_shift_slices
-            else:
-                order = plan.relaxation_order
-                shifts = plan.shift_slices
         if self.machines is None:
             return dp_vectorized(
                 counts,
                 class_sizes,
                 target,
                 configs=configs,
-                order=order,
-                shifts=shifts,
                 sparsify=effective,
-                sparse_configs=sparse,
-                sparse_shifts=sparse_sel,
+                plan=plan,
                 warm_table=warm_table,
             )
         return dp_decision(
@@ -383,11 +330,8 @@ class DecisionKernel:
             target,
             machines=self.machines,
             configs=configs,
-            order=order,
-            shifts=shifts,
             sparsify=effective,
-            sparse_configs=sparse,
-            sparse_shifts=sparse_sel,
+            plan=plan,
             warm_table=warm_table,
         )
 

@@ -89,7 +89,9 @@ def maximal_mask(
     model) the test falls back to set membership — ``c`` is maximal iff
     no ``c + e_j`` is a row of ``configs`` — which is equivalent for
     any downward-closed set because dominance is generated by unit
-    increments.  Both routes produce identical masks (tested).
+    increments.  Membership is looked up in a boolean lattice over
+    ``[0, configs.max(axis=0)]``, no larger than the DP table the set
+    relaxes.  Both routes produce identical masks (tested).
     """
     if configs.ndim != 2:
         raise DPError("configs must be a 2-D array")
@@ -111,16 +113,23 @@ def maximal_mask(
         if max_jobs is not None:
             blocked |= (configs.sum(axis=1) + 1 > int(max_jobs))[:, None]
         return blocked.all(axis=1)
-    rows = np.ascontiguousarray(configs, dtype=np.int64)
-    member = {rows[i].tobytes() for i in range(n)}
-    bumped = rows[:, None, :] + np.eye(d, dtype=np.int64)[None, :, :]
-    flat = np.ascontiguousarray(bumped.reshape(n * d, d))
-    extendable = np.fromiter(
-        (flat[i].tobytes() in member for i in range(n * d)),
-        count=n * d,
-        dtype=bool,
-    )
-    return ~extendable.reshape(n, d).any(axis=1)
+    rows = np.asarray(configs, dtype=np.int64)
+    if (rows < 0).any():
+        raise DPError("configurations must be non-negative")
+    # Mark the rows in a boolean lattice over [0, max] and look every
+    # c + e_j up by its flat offset; an increment past the maximum
+    # along its axis is outside the set by construction.
+    top = rows.max(axis=0)
+    shape = top + 1
+    strides = np.ones(d, dtype=np.int64)
+    if d > 1:
+        strides[:-1] = np.cumprod(shape[:0:-1])[::-1]
+    lattice = np.zeros(int(np.prod(shape)), dtype=bool)
+    flat = rows @ strides
+    lattice[flat] = True
+    inside = rows < top
+    bumped = np.where(inside, flat[:, None] + strides, 0)
+    return ~(inside & lattice[bumped]).any(axis=1)
 
 
 def sparsify_configurations(

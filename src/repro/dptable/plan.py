@@ -258,7 +258,9 @@ class ProbePlan:
         tuple of slices per configuration is pure-Python work that used
         to run once per *round* per config; as a plan layer it runs
         once per ``(shape, configs)`` and is shared by every probe —
-        and every relaxation round — that hits this plan.
+        and every relaxation round — that hits this plan.  Only the
+        NumPy relaxation loop reads it: the compiled loop
+        (:mod:`repro.core.native`) needs just the order.
         """
         with _build_timer():
             from repro.core.dp_vectorized import shift_selectors
@@ -310,7 +312,8 @@ class ProbePlan:
         shared by every sparse relaxation fill that hits it.  The
         sparse kernels pair these with per-round downward-closure
         sweeps (:func:`repro.core.dp_vectorized.run_closure_sweeps`)
-        to realise the clipped cover recurrence.
+        to realise the clipped cover recurrence.  Like
+        :attr:`shift_slices`, only the NumPy relaxation loop reads it.
         """
         with _build_timer():
             from repro.core.dp_vectorized import shift_selectors

@@ -10,6 +10,7 @@ probe sequence for probe sequence.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,10 @@ from repro.backends import iter_backends, resolve
 from repro.core.instance import Instance
 from repro.core.ptas import probe_target, ptas_schedule
 from repro.models import lift_to_few_types, lift_to_time_restricted
+
+# The compiled relaxation loop; test_sparsify_equivalence_numpy.py
+# reruns this suite on the NumPy loop.
+pytestmark = pytest.mark.usefixtures("compiled_relax")
 
 
 def instances():

@@ -60,3 +60,50 @@ def medium_probe(medium_instance):
 def small_probe(small_instance):
     """A rounding of ``small_instance`` — a few hundred DP cells."""
     return round_instance(small_instance, 60, 0.3)
+
+
+# -- relaxation loop paths ------------------------------------------------------
+#
+# The DP kernels run their rounds in the compiled loop of
+# ``repro.core.native`` when it builds, else in the NumPy loop.  These
+# fixtures substitute the process-wide loader so a suite runs on one
+# path or the other.
+
+#: A compiler command that cannot exist: the loader's build fails.
+MISSING_COMPILER = "/nonexistent/repro-test-cc"
+
+
+@pytest.fixture(scope="session")
+def compiled_loop():
+    """The process's compiled loop; skips where no C compiler builds it."""
+    from repro.core import native
+
+    loop = native.default_loop()
+    active, detail = loop.status()
+    if not active:
+        pytest.skip(f"compiled relaxation loop unavailable: {detail}")
+    return loop
+
+
+def _install_loop(loop):
+    from repro.core import native
+
+    previous = native.set_default_loop(loop)
+    try:
+        yield loop
+    finally:
+        native.set_default_loop(previous)
+
+
+@pytest.fixture(scope="module")
+def compiled_relax(compiled_loop):
+    """Run the module's fills in the compiled loop."""
+    yield from _install_loop(compiled_loop)
+
+
+@pytest.fixture(scope="module")
+def numpy_relax():
+    """Run the module's fills in the NumPy loop: the loader's build fails."""
+    from repro.core.native import NativeLoop
+
+    yield from _install_loop(NativeLoop(compiler=MISSING_COMPILER))

@@ -42,6 +42,10 @@ from repro.core.kernels import (
 from repro.core.ptas import probe_target, ptas_schedule
 from repro.errors import BackendError, DPError
 
+# The compiled relaxation loop; test_kernels_numpy.py reruns this suite
+# on the NumPy loop.
+pytestmark = pytest.mark.usefixtures("compiled_relax")
+
 
 def probes():
     # Raw DP probes (post-rounding): small enough for the pure-Python

@@ -21,7 +21,7 @@ The soundness story these tests pin down:
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.configs import count_subconfigurations, enumerate_configurations
@@ -59,20 +59,43 @@ COUNTEREXAMPLE = ((3,), (1,), 2)
 # -- sparsify_configurations / maximal_mask ------------------------------------
 
 
-@given(probe=probes())
-@settings(max_examples=40, deadline=None)
+def constrained_sets():
+    # Downward-closed sets defined by constraints the arithmetic route
+    # can read: caps, a load budget and an optional cardinality cap.
+    # Tight budgets leave the set's maximum along some axis below its
+    # count, where the membership route's lattice ends before the cap.
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.integers(min_value=0, max_value=4), min_size=d, max_size=d
+            ).map(tuple),
+            st.lists(
+                st.integers(min_value=1, max_value=12), min_size=d, max_size=d
+            ).map(tuple),
+            st.integers(min_value=0, max_value=30),
+            st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+        )
+    )
+
+
+def _routes(counts, sizes, target, max_jobs):
+    configs = enumerate_configurations(sizes, counts, target, max_jobs=max_jobs)
+    arithmetic = maximal_mask(
+        configs, counts=counts, class_sizes=sizes, target=target,
+        max_jobs=max_jobs,
+    )
+    return configs, arithmetic, maximal_mask(configs)
+
+
+@given(probe=constrained_sets())
+@example(probe=((3, 2), (5, 7), 10, None))  # maxima (2, 1), below the counts
+@settings(max_examples=60, deadline=None)
 def test_maximal_mask_routes_agree(probe):
     # The arithmetic route (constraints in hand) and the membership
     # route (set lookup only) must produce the same mask on any
     # downward-closed set.
-    counts, sizes, target = probe
-    configs = enumerate_configurations(sizes, counts, target)
-    if configs.shape[0] == 0:
-        return
-    arithmetic = maximal_mask(
-        configs, counts=counts, class_sizes=sizes, target=target
-    )
-    membership = maximal_mask(configs)
+    counts, sizes, target, max_jobs = probe
+    configs, arithmetic, membership = _routes(counts, sizes, target, max_jobs)
     assert np.array_equal(arithmetic, membership)
 
 
@@ -80,14 +103,44 @@ def test_maximal_mask_routes_agree(probe):
 @settings(max_examples=25, deadline=None)
 def test_maximal_mask_routes_agree_with_cardinality_cap(probe, max_jobs):
     counts, sizes, target = probe
-    configs = enumerate_configurations(sizes, counts, target, max_jobs=max_jobs)
-    if configs.shape[0] == 0:
-        return
-    arithmetic = maximal_mask(
-        configs, counts=counts, class_sizes=sizes, target=target,
-        max_jobs=max_jobs,
+    configs, arithmetic, membership = _routes(counts, sizes, target, max_jobs)
+    assert np.array_equal(arithmetic, membership)
+
+
+@given(
+    points=st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=3), min_size=d, max_size=d
+            ),
+            min_size=1,
+            max_size=5,
+        )
     )
-    assert np.array_equal(arithmetic, maximal_mask(configs))
+)
+@settings(max_examples=60, deadline=None)
+def test_membership_route_matches_the_definition(points):
+    # Downward closures of arbitrary points: no constraints describe
+    # them, so the membership route is checked against the definition
+    # (no other row dominates c) directly.
+    import itertools
+
+    closure = sorted(
+        {
+            cell
+            for point in points
+            for cell in itertools.product(*(range(x + 1) for x in point))
+        }
+    )
+    configs = np.array(closure, dtype=np.int64).reshape(len(closure), -1)
+    expected = [
+        not any(
+            other != row and all(o >= r for o, r in zip(other, row))
+            for other in closure
+        )
+        for row in closure
+    ]
+    assert maximal_mask(configs).tolist() == expected
 
 
 @given(probe=probes())
@@ -146,6 +199,8 @@ def test_maximal_mask_rejects_bad_shapes():
             np.zeros((2, 3), dtype=np.int64),
             counts=(1, 1), class_sizes=(1,), target=5,
         )
+    with pytest.raises(DPError, match="non-negative"):
+        maximal_mask(np.array([[0, 1], [-1, 0]], dtype=np.int64))
 
 
 # -- bit-identity of the sparse fills ------------------------------------------
